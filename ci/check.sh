@@ -11,6 +11,17 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# perfbench is a workspace of its own (see BENCHMARK.json), so the
+# workspace clippy above never compiles it: build it here so a change to
+# the libraries' public API cannot silently break the benchmark.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+# Bench runner gate: the runner's arithmetic (straggler max,
+# nearest-rank percentiles, ratio, per-sample spread), the renderers,
+# every mode's criteria, and one small end-to-end run per
+# `bruckctl bench` mode, each lap verified against the oracle.
+cargo test -q -p bruck-bench
+
 # Robustness gate: fault injection, the chaos soak, and the
 # sliding-window property suite. Every fault plan is seeded
 # (FaultPlan::with_seed / the xorshift case generators in tests/chaos.rs
@@ -51,9 +62,10 @@ timeout 300 cargo test -q --test rejoin
 cargo test -q --test vops
 
 # Perf smoke: the pipelined data plane must clear a throughput floor on
-# the wire microbench. The floor is ~30% under the slowest alltoall
-# pipelined-row throughput observed on a 1-core CI box (545 MB/s at this
-# shape; the stop-and-wait-era plane measures ~300-360 MB/s, so a data
+# the wire microbench, checked against the alltoall row's goodput on
+# useful bytes, n(n-1)b per lap. The floor is ~30% under the slowest
+# alltoall throughput observed on a 1-core CI box (545 MB/s at this
+# shape; the stop-and-wait-era plane measured ~300-360 MB/s, so a data
 # plane regressed to that discipline lands under the floor while normal
 # machine noise stays above it). BENCH_pr3.json tracks the full-size
 # run. Small shape so the gate stays fast.
@@ -62,7 +74,7 @@ cargo build -q --release -p bruck-bench
     --samples 2 --out /tmp/bruck-bench-smoke.json --min-mbps 380
 
 # Zipf smoke: a short skewed sweep at the PR 6 shape (n=8, k=2). Every
-# lap is verified bit-exactly inside run_skew_matrix, so this gates the
+# lap is verified bit-exactly by the bench runner, so this gates the
 # whole skewed data path (metadata exchange, padded/two-phase executors,
 # planner dispatch) end to end through the real uds transport. Small
 # reps/samples keep it to a few seconds; BENCH_pr6.json tracks the full
@@ -74,7 +86,7 @@ cargo build -q --release -p bruck-bench
 # injection over real loopback streams, hierarchical plans at n = 64,
 # the n = 128 thread-multiplexing claim), then a one-rep scale sweep —
 # flat vs two-level over the TCP fabric with the watchdog and deadline
-# armed, every lap verified bit-exactly inside run_scale_matrix.
+# armed, every lap verified bit-exactly by the bench runner.
 # BRUCK_SCALE_MAX_N caps the sweep (default 128 here so the gate stays
 # fast; raise it to 1024 to reproduce the full BENCH_pr9.json matrix).
 # Hard wall-clock timeout as the no-hang backstop, same rationale as

@@ -14,8 +14,8 @@
 //! bruckctl chaos  --replay repro.chaos.tsv                # rerun a persisted reproducer
 //! bruckctl chaos  --transport tcp --n 128 --seed 7        # socket-level chaos on the TCP fabric
 //! bruckctl chaos  --transport tcp --replay repro.tsv      # replay a connection-chaos reproducer
-//! bruckctl bench  --n 8 --ports 2 --block 65536           # wire pipelining table + BENCH_pr3.json
-//! bruckctl bench  --min-mbps 50                           # CI floor: exit 1 below it
+//! bruckctl bench  --n 8 --ports 2 --block 65536           # pipelined alltoall/allgather + BENCH_pr3.json
+//! bruckctl bench  --min-mbps 50                           # CI floor on alltoall goodput: exit 1 below it
 //! bruckctl bench  --autotune --n 8 --ports 2              # planner vs fixed radices + BENCH_pr4.json
 //! bruckctl bench  --liveness --n 8 --ports 2              # deadline+watchdog overhead + BENCH_pr5.json
 //! bruckctl bench  --skew 0,0.5,1.0,1.5 --n 8 --ports 2    # Zipf v-op family sweep + BENCH_pr6.json
@@ -23,6 +23,11 @@
 //! bruckctl bench  --scale --ns 128,256,512,1024           # event-driven TCP sweep + BENCH_pr9.json
 //! bruckctl bench  --recovery --transport tcp              # connection-healing A/B + BENCH_pr10.json
 //! ```
+//!
+//! Every `bench` mode runs on one runner (`bruck_bench::runner`): the
+//! same timing discipline, `--reps` laps per arm in each of `--samples`
+//! independent cluster runs, every lap checked against the oracle, and
+//! one row schema in both the table and the JSON.
 
 use std::sync::Arc;
 
@@ -696,10 +701,10 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `bruckctl bench`: the wire-pipelining matrix over real sockets —
-/// the pipelined data plane against the pre-pipelining baseline for
-/// alltoall and allgather — printed as a table and written as the
-/// tracked JSON artifact.
+/// `bruckctl bench [--<mode>]`: build the mode's cells, run them on the
+/// shared bench runner, print the table and write the tracked
+/// `BENCH_pr*.json` artifact. Fails when any lap missed the oracle or,
+/// with `--min-mbps`, when the alltoall row's goodput is below the floor.
 #[cfg(unix)]
 fn cmd_bench(args: &Args) -> Result<(), String> {
     use bruck_bench::wire;
@@ -714,258 +719,79 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             ));
         }
     }
-    if args.scale {
-        return cmd_bench_scale(args);
-    }
-    if args.autotune {
-        return cmd_bench_autotune(args);
-    }
-    if args.liveness {
-        return cmd_bench_liveness(args);
-    }
-    if args.recovery {
-        return cmd_bench_recovery(args);
-    }
-    if args.skew.is_some() {
-        return cmd_bench_skew(args);
-    }
-    let cfg = wire::WireBenchConfig {
+    let mut cfg = wire::BenchConfig {
         n: args.n,
         ports: args.ports,
         block: args.block,
         reps: args.reps.max(1),
         samples: args.samples.max(1),
         radix: args.radix,
-        ..wire::WireBenchConfig::default()
+        seed: args.seed,
+        workers: args.workers,
+        ..wire::BenchConfig::default()
     };
-    println!(
-        "wire bench: n={} k={} block={} reps={}x{} (uds)",
-        cfg.n, cfg.ports, cfg.block, cfg.reps, cfg.samples
-    );
-    let rows = wire::run_matrix(&cfg)?;
-    print!("{}", wire::render_table(&rows));
-    let out_path = args.out.clone().unwrap_or_else(|| "BENCH_pr3.json".into());
-    std::fs::write(&out_path, wire::render_json(&rows))
-        .map_err(|e| format!("write {out_path}: {e}"))?;
+    if let Some(s) = args.node_size {
+        cfg.node_size = s;
+    }
+    let (bench, default_out) = if args.scale {
+        // `BRUCK_SCALE_MAX_N` caps the sweep (CI keeps it at 128 so the
+        // gate stays fast); `--ns` overrides the default sweep outright.
+        if let Some(ns) = &args.ns {
+            cfg.ns.clone_from(ns);
+        }
+        if let Ok(cap) = std::env::var("BRUCK_SCALE_MAX_N") {
+            let cap: usize = cap.parse().map_err(|e| format!("BRUCK_SCALE_MAX_N: {e}"))?;
+            cfg.ns.retain(|&n| n <= cap);
+            if cfg.ns.is_empty() {
+                return Err(format!(
+                    "BRUCK_SCALE_MAX_N={cap} leaves no rank counts to sweep"
+                ));
+            }
+        }
+        (wire::scale(&cfg)?, "BENCH_pr9.json")
+    } else if args.autotune {
+        (wire::autotune(&cfg)?, "BENCH_pr4.json")
+    } else if args.liveness {
+        (wire::liveness(&cfg)?, "BENCH_pr5.json")
+    } else if args.recovery && args.transport == "tcp" {
+        // `--n 8` is the generic bruckctl default; the healing A/B wants
+        // scale, so only an explicit larger n overrides n = 128.
+        if args.n <= 8 {
+            cfg.n = 128;
+        }
+        (wire::tcp_recovery(&cfg)?, "BENCH_pr10.json")
+    } else if args.recovery {
+        (wire::recovery(&cfg)?, "BENCH_pr7.json")
+    } else if let Some(svals) = &args.skew {
+        cfg.svals.clone_from(svals);
+        (wire::skew(&cfg)?, "BENCH_pr6.json")
+    } else {
+        (wire::pipelining(&cfg)?, "BENCH_pr3.json")
+    };
+    if let Some(w) = bench.fit.as_ref().and_then(wire::fit_warning) {
+        eprintln!("bruckctl: warning: {w}");
+    }
+    print!("{}", bench.table());
+    let out_path = args.out.clone().unwrap_or_else(|| default_out.into());
+    std::fs::write(&out_path, bench.json()).map_err(|e| format!("write {out_path}: {e}"))?;
     println!("[results written to {out_path}]");
+    if !bench.all_bit_correct() {
+        return Err(format!("{} produced bit-incorrect results", bench.name));
+    }
     if let Some(floor) = args.min_mbps {
-        let worst = rows
+        let worst = bench
+            .rows
             .iter()
-            .filter(|r| r.collective == "alltoall" && r.mode == "pipelined")
-            .map(|r| r.mbps)
-            .fold(f64::INFINITY, f64::min);
+            .filter(|r| r.cell == "alltoall")
+            .map(wire::Row::mbps)
+            .reduce(f64::min)
+            .ok_or("--min-mbps gates the default mode's alltoall row")?;
         if worst < floor {
             return Err(format!(
                 "alltoall throughput {worst:.1} MB/s below the {floor:.1} MB/s floor"
             ));
         }
         println!("floor      : {worst:.1} MB/s ≥ {floor:.1} MB/s ✓");
-    }
-    Ok(())
-}
-
-/// `bruckctl bench --autotune`: calibrate the socket transport, race
-/// planner dispatch against every fixed radix across block sizes, and
-/// write the tracked `BENCH_pr4.json` artifact.
-#[cfg(unix)]
-fn cmd_bench_autotune(args: &Args) -> Result<(), String> {
-    use bruck_bench::wire;
-    let cfg = wire::AutotuneBenchConfig {
-        n: args.n,
-        ports: args.ports,
-        reps: args.reps.max(1),
-        samples: args.samples.max(1),
-        ..wire::AutotuneBenchConfig::default()
-    };
-    println!(
-        "autotune bench: n={} k={} blocks={:?} radices={:?} reps={}x{} (uds)",
-        cfg.n, cfg.ports, cfg.blocks, cfg.radices, cfg.reps, cfg.samples
-    );
-    let (rows, fit) = wire::run_autotune_matrix(&cfg)?;
-    if let Some(w) = wire::fit_warning(&fit) {
-        eprintln!("bruckctl: warning: {w}");
-    }
-    print!("{}", wire::render_autotune_table(&rows, &fit));
-    let out_path = args.out.clone().unwrap_or_else(|| "BENCH_pr4.json".into());
-    std::fs::write(&out_path, wire::render_autotune_json(&rows, &fit))
-        .map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("[results written to {out_path}]");
-    Ok(())
-}
-
-/// `bruckctl bench --liveness`: the price of the liveness layer — the
-/// same alltoall shape with a per-lap deadline armed and the watchdog
-/// on vs both off, written as the tracked `BENCH_pr5.json` artifact.
-#[cfg(unix)]
-fn cmd_bench_liveness(args: &Args) -> Result<(), String> {
-    use bruck_bench::wire;
-    let cfg = wire::WireBenchConfig {
-        n: args.n,
-        ports: args.ports,
-        block: args.block,
-        reps: args.reps.max(1),
-        samples: args.samples.max(1),
-        radix: args.radix,
-        ..wire::WireBenchConfig::default()
-    };
-    println!(
-        "liveness bench: n={} k={} block={} reps={}x{} (uds)",
-        cfg.n, cfg.ports, cfg.block, cfg.reps, cfg.samples
-    );
-    let rows = wire::run_liveness_overhead(&cfg)?;
-    print!("{}", wire::render_liveness_table(&rows));
-    let out_path = args.out.clone().unwrap_or_else(|| "BENCH_pr5.json".into());
-    std::fs::write(&out_path, wire::render_liveness_json(&rows))
-        .map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("[results written to {out_path}]");
-    Ok(())
-}
-
-/// `bruckctl bench --recovery`: the steady-state price of the
-/// membership layer — the same faultless alltoall shape under the
-/// plain driver vs `run_resilient` with `WaitForRejoin` armed, written
-/// as the tracked `BENCH_pr7.json` artifact.
-#[cfg(unix)]
-fn cmd_bench_recovery(args: &Args) -> Result<(), String> {
-    use bruck_bench::wire;
-    if args.transport == "tcp" {
-        return cmd_bench_recovery_tcp(args);
-    }
-    let cfg = wire::WireBenchConfig {
-        n: args.n,
-        ports: args.ports,
-        block: args.block,
-        reps: args.reps.max(1),
-        samples: args.samples.max(1),
-        radix: args.radix,
-        ..wire::WireBenchConfig::default()
-    };
-    println!(
-        "recovery bench: n={} k={} block={} reps={}x{} (uds)",
-        cfg.n, cfg.ports, cfg.block, cfg.reps, cfg.samples
-    );
-    let rows = wire::run_recovery_overhead(&cfg)?;
-    print!("{}", wire::render_recovery_table(&rows));
-    let out_path = args.out.clone().unwrap_or_else(|| "BENCH_pr7.json".into());
-    std::fs::write(&out_path, wire::render_recovery_json(&rows))
-        .map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("[results written to {out_path}]");
-    Ok(())
-}
-
-/// `bruckctl bench --recovery --transport tcp`: the price of the TCP
-/// fabric's connection-healing machinery — the same faultless
-/// collective with healing forced off vs armed, plus one cell that
-/// absorbs a mid-run connection reset — written as the tracked
-/// `BENCH_pr10.json` artifact.
-#[cfg(unix)]
-fn cmd_bench_recovery_tcp(args: &Args) -> Result<(), String> {
-    use bruck_bench::wire;
-    let mut cfg = wire::TcpRecoveryBenchConfig {
-        block: args.block,
-        reps: args.reps.max(1),
-        samples: args.samples.max(1),
-        workers: args.workers,
-        ..wire::TcpRecoveryBenchConfig::default()
-    };
-    // `--n 8` is the generic bruckctl default; the recovery A/B wants
-    // scale, so only an explicit larger n overrides the config default.
-    if args.n > 8 {
-        cfg.n = args.n;
-    }
-    if let Some(s) = args.node_size {
-        cfg.node_size = s;
-    }
-    println!(
-        "tcp recovery bench: n={} node_size={} block={} reps={}x{} (tcp loopback)",
-        cfg.n, cfg.node_size, cfg.block, cfg.reps, cfg.samples
-    );
-    let rows = wire::run_tcp_recovery(&cfg)?;
-    print!("{}", wire::render_tcp_recovery_table(&rows));
-    let out_path = args.out.clone().unwrap_or_else(|| "BENCH_pr10.json".into());
-    std::fs::write(&out_path, wire::render_tcp_recovery_json(&rows))
-        .map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("[results written to {out_path}]");
-    Ok(())
-}
-
-/// `bruckctl bench --skew <s1,s2,...>`: seeded Zipf workloads through
-/// the non-uniform family — forced direct/padded/two-phase vs
-/// `alltoallv_auto` — written as the tracked `BENCH_pr6.json` artifact.
-#[cfg(unix)]
-fn cmd_bench_skew(args: &Args) -> Result<(), String> {
-    use bruck_bench::wire;
-    let cfg = wire::SkewBenchConfig {
-        n: args.n,
-        ports: args.ports,
-        base: args.block,
-        svals: args.skew.clone().expect("guarded by caller"),
-        seed: args.seed,
-        reps: args.reps.max(1),
-        samples: args.samples.max(1),
-        ..wire::SkewBenchConfig::default()
-    };
-    println!(
-        "skew bench: n={} k={} base={} s={:?} reps={}x{} (uds)",
-        cfg.n, cfg.ports, cfg.base, cfg.svals, cfg.reps, cfg.samples
-    );
-    let (rows, fit) = wire::run_skew_matrix(&cfg)?;
-    if let Some(w) = wire::fit_warning(&fit) {
-        eprintln!("bruckctl: warning: {w}");
-    }
-    print!("{}", wire::render_skew_table(&rows, &fit));
-    let out_path = args.out.clone().unwrap_or_else(|| "BENCH_pr6.json".into());
-    std::fs::write(&out_path, wire::render_skew_json(&rows, &fit))
-        .map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("[results written to {out_path}]");
-    Ok(())
-}
-
-/// `bruckctl bench --scale`: the event-driven TCP sweep — flat
-/// single-level vs two-level hierarchical plans at n = 128–1024 over
-/// one multiplexing fabric — written as the tracked `BENCH_pr9.json`
-/// artifact. `BRUCK_SCALE_MAX_N` caps the sweep (CI keeps it at 128 so
-/// the gate stays fast); `--ns`, `--node-size`, and `--workers`
-/// override the defaults outright.
-#[cfg(unix)]
-fn cmd_bench_scale(args: &Args) -> Result<(), String> {
-    use bruck_bench::wire;
-    let mut cfg = wire::ScaleBenchConfig {
-        block: args.block,
-        reps: args.reps.max(1),
-        workers: args.workers,
-        ..wire::ScaleBenchConfig::default()
-    };
-    if let Some(ns) = &args.ns {
-        cfg.ns.clone_from(ns);
-    }
-    if let Some(s) = args.node_size {
-        cfg.node_size = s;
-    }
-    if let Ok(cap) = std::env::var("BRUCK_SCALE_MAX_N") {
-        let cap: usize = cap.parse().map_err(|e| format!("BRUCK_SCALE_MAX_N: {e}"))?;
-        cfg.ns.retain(|&n| n <= cap);
-        if cfg.ns.is_empty() {
-            return Err(format!(
-                "BRUCK_SCALE_MAX_N={cap} leaves no rank counts to sweep"
-            ));
-        }
-    }
-    println!(
-        "scale bench: ns={:?} node_size={} block={} reps={} (tcp)",
-        cfg.ns, cfg.node_size, cfg.block, cfg.reps
-    );
-    let (rows, fit) = wire::run_scale_matrix(&cfg)?;
-    if let Some(w) = fit.as_ref().and_then(wire::fit_warning) {
-        eprintln!("bruckctl: warning: {w}");
-    }
-    print!("{}", wire::render_scale_table(&rows));
-    let out_path = args.out.clone().unwrap_or_else(|| "BENCH_pr9.json".into());
-    std::fs::write(&out_path, wire::render_scale_json(&rows, fit.as_ref()))
-        .map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("[results written to {out_path}]");
-    if rows.iter().any(|r| !r.bit_correct) {
-        return Err("scale sweep produced bit-incorrect results".into());
     }
     Ok(())
 }

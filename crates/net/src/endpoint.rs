@@ -107,10 +107,6 @@ pub struct Endpoint {
     /// fault plan can corrupt the wire, so the fault-free hot path pays
     /// nothing).
     checksums: bool,
-    /// Complete a round's receives strictly in spec order with
-    /// sliced polling — the pre-pipelining round engine, kept for the
-    /// wire benchmark's baseline (see `ClusterConfig::with_serial_rounds`).
-    serial_rounds: bool,
     /// The rank's completion budget, shared with the reliability layer
     /// (and armed cluster-wide by `ClusterConfig::with_deadline` or per
     /// collective by the API layer). Unarmed checks are one atomic load.
@@ -135,7 +131,6 @@ impl Endpoint {
         timeout: Duration,
         pool: Arc<BufferPool>,
         detector: Option<Arc<FailureDetector>>,
-        serial_rounds: bool,
         deadline: Deadline,
         round_clock: Arc<RoundClock>,
     ) -> Self {
@@ -156,7 +151,6 @@ impl Endpoint {
             detector,
             seen_version: 0,
             checksums,
-            serial_rounds,
             deadline,
             round_clock,
         }
@@ -477,11 +471,7 @@ impl Endpoint {
         recvs: &[RecvSpec],
     ) -> Result<Vec<Message>, NetError> {
         let wall_recv = Instant::now();
-        let slots = if self.serial_rounds {
-            self.recv_serial_checked(recvs)?
-        } else {
-            self.recv_all_checked(recvs)?
-        };
+        let slots = self.recv_all_checked(recvs)?;
         self.metrics.wall_recv_ns += wall_recv.elapsed().as_nanos() as u64;
 
         let mut out = Vec::with_capacity(recvs.len());
@@ -547,8 +537,6 @@ impl Endpoint {
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                // Report the first unfilled spec — the same shape the
-                // old serialized receive loop produced.
                 let r = slots
                     .iter()
                     .zip(recvs)
@@ -569,60 +557,6 @@ impl Endpoint {
             .into_iter()
             .map(|s| s.expect("all slots filled"))
             .collect())
-    }
-
-    /// Legacy serialized receive: complete the specs strictly in caller
-    /// order, one at a time, polling `recv_match` in short slices. This
-    /// is the pre-pipelining round engine — head-of-line blocking on the
-    /// first spec and all — kept behind
-    /// `ClusterConfig::with_serial_rounds` so the wire benchmark can
-    /// measure the data plane this revision replaced. Error shapes match
-    /// [`recv_all_checked`](Self::recv_all_checked).
-    fn recv_serial_checked(&mut self, recvs: &[RecvSpec]) -> Result<Vec<Message>, NetError> {
-        let mut out = Vec::with_capacity(recvs.len());
-        for r in recvs {
-            let deadline = Instant::now() + self.timeout;
-            loop {
-                self.deadline.check(self.rank)?;
-                if let Some(det) = &self.detector {
-                    if det.version() > self.seen_version {
-                        return Err(NetError::RanksFailed {
-                            ranks: det.snapshot(),
-                        });
-                    }
-                }
-                let slice = self.deadline.clamp(
-                    deadline
-                        .saturating_duration_since(Instant::now())
-                        .min(FAILOVER_POLL),
-                );
-                match self.transport.recv_match(r.from, r.tag, slice) {
-                    Ok(msg) => {
-                        if !msg.checksum_ok() {
-                            return Err(NetError::Corrupt {
-                                rank: self.rank,
-                                from: r.from,
-                                tag: r.tag,
-                            });
-                        }
-                        out.push(msg);
-                        break;
-                    }
-                    Err(NetError::Timeout { .. }) => {
-                        if Instant::now() >= deadline {
-                            return Err(NetError::Timeout {
-                                rank: self.rank,
-                                from: r.from,
-                                tag: r.tag,
-                                waited: self.timeout,
-                            });
-                        }
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// The ranks the cluster has agreed are dead (empty when no failure

@@ -630,7 +630,11 @@ impl Transport for FaultyTransport {
         }
         let verdict = self.plan.wire_verdict(msg.src, msg.dst, xmit);
         if verdict.drop {
-            self.stats.injected_losses += 1;
+            if crate::reliable::is_control_tag(msg.tag) {
+                self.stats.injected_ack_losses += 1;
+            } else {
+                self.stats.injected_losses += 1;
+            }
             return Ok(());
         }
         if verdict.delay {

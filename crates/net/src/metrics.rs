@@ -25,7 +25,9 @@ pub struct LinkStats {
     /// Checksum-failing data messages the reliability layer discarded
     /// (healed by the sender's retransmission).
     pub corrupt_dropped: u64,
-    /// Transmissions the fault injector silently discarded.
+    /// Data transmissions the fault injector silently discarded. Each
+    /// one owes a retransmission; control-frame drops count under
+    /// [`injected_ack_losses`](Self::injected_ack_losses) instead.
     pub injected_losses: u64,
     /// Transmissions the fault injector duplicated.
     pub injected_dups: u64,
@@ -54,8 +56,10 @@ pub struct LinkStats {
     /// Transmissions the fault injector cut on a severed link or across
     /// an active partition (data, ack, and retransmission frames alike).
     pub partition_cuts: u64,
-    /// Dedicated ack frames the fault injector silently discarded
-    /// (ack-path fault injection; healed by sender retransmission).
+    /// Control frames (dedicated acks, watchdog probes and probe
+    /// replies) the fault injector silently discarded, by ack-path
+    /// injection or a general wire-loss verdict. A later cumulative ack
+    /// or probe covers them, so no retransmission is owed.
     pub injected_ack_losses: u64,
 }
 

@@ -69,6 +69,14 @@ pub const PROBE_TAG: Tag = u64::MAX - 1;
 /// liveness; this one exists purely to provoke such a frame.
 pub const PROBE_ACK_TAG: Tag = u64::MAX - 2;
 
+/// Whether `tag` marks a reliability-layer control frame (ack, probe, or
+/// probe reply) rather than sequenced data. Losing one never owes a
+/// retransmission.
+#[must_use]
+pub fn is_control_tag(tag: Tag) -> bool {
+    tag >= PROBE_ACK_TAG
+}
+
 /// How long a blocked caller waits on `recv_any` per poll — short enough
 /// to notice failure-detector updates and expired retransmission timers
 /// promptly.

@@ -31,10 +31,6 @@ use crate::transport::Transport;
 /// TCP stream transport, re-exported here for source compatibility).
 pub use crate::frame::FRAG_PAYLOAD;
 
-/// The fragment size the data plane used before pipelining — kept for
-/// the wire benchmark's baseline (see [`SocketCluster::run_legacy`]).
-pub const LEGACY_FRAG_PAYLOAD: usize = 16 * 1024;
-
 /// splitmix64 finalizer — the keyed-hash RNG idiom used across the
 /// fault layer. Here it seeds backoff jitter without ambient entropy.
 fn splitmix64(z: u64) -> u64 {
@@ -57,11 +53,6 @@ pub struct UdsTransport {
     recv_buf: Vec<u8>,
     /// Reusable outbound frame buffer: one allocation serves every send.
     send_buf: Vec<u8>,
-    /// `Some(nap)` reverts waits to the pre-pipelining sleep-poll loop.
-    poll_sleep: Option<Duration>,
-    /// Max payload bytes per outbound fragment (`≤ FRAG_PAYLOAD`, which
-    /// sizes every receive buffer).
-    frag: usize,
 }
 
 impl UdsTransport {
@@ -125,8 +116,6 @@ impl UdsTransport {
             next_msg_id: 0,
             recv_buf: vec![0u8; HEADER + FRAG_PAYLOAD],
             send_buf: Vec::with_capacity(HEADER + FRAG_PAYLOAD),
-            poll_sleep: None,
-            frag: FRAG_PAYLOAD,
         })
     }
 
@@ -165,25 +154,6 @@ impl UdsTransport {
             path.display(),
             last.expect("loop recorded an error")
         )))
-    }
-
-    /// Compatibility mode: wait for frames by draining nonblocking and
-    /// napping `nap` between polls — the discipline this transport used
-    /// before blocking reads. Kept so the benchmark can A/B the old
-    /// data plane against the pipelined one; not for production use.
-    #[must_use]
-    pub fn with_poll_sleep(mut self, nap: Duration) -> Self {
-        self.poll_sleep = Some(nap);
-        self
-    }
-
-    /// Cap outbound fragments at `frag` payload bytes (clamped to
-    /// `[1, FRAG_PAYLOAD]` — receive buffers are sized for
-    /// [`FRAG_PAYLOAD`], so larger fragments would truncate on arrival).
-    #[must_use]
-    pub fn with_frag_payload(mut self, frag: usize) -> Self {
-        self.frag = frag.clamp(1, FRAG_PAYLOAD);
-        self
     }
 
     #[cfg(test)]
@@ -226,21 +196,6 @@ impl UdsTransport {
     fn block_for_frames(&mut self, timeout: Duration) -> Result<usize, NetError> {
         if timeout.is_zero() {
             return self.drain();
-        }
-        if let Some(nap) = self.poll_sleep {
-            // Seed-faithful sleep-poll loop (see `with_poll_sleep`).
-            let deadline = Instant::now() + timeout;
-            loop {
-                let consumed = self.drain()?;
-                if consumed > 0 {
-                    return Ok(consumed);
-                }
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Ok(0);
-                }
-                std::thread::sleep(nap.min(remaining));
-            }
         }
         self.sock
             .set_read_timeout(Some(timeout))
@@ -294,14 +249,14 @@ impl Transport for UdsTransport {
         let count = if msg.payload.is_empty() {
             1
         } else {
-            msg.payload.len().div_ceil(self.frag)
+            msg.payload.len().div_ceil(FRAG_PAYLOAD)
         } as u32;
         for idx in 0..count {
             let chunk = if msg.payload.is_empty() {
                 &[][..]
             } else {
-                let at = idx as usize * self.frag;
-                &msg.payload[at..msg.payload.len().min(at + self.frag)]
+                let at = idx as usize * FRAG_PAYLOAD;
+                &msg.payload[at..msg.payload.len().min(at + FRAG_PAYLOAD)]
             };
             let mut frame = std::mem::take(&mut self.send_buf);
             encode_frame_into(
@@ -417,6 +372,21 @@ impl Transport for UdsTransport {
 pub struct SocketCluster;
 
 impl SocketCluster {
+    /// Create a fresh per-run temporary directory for the socket files.
+    fn run_dir() -> Result<PathBuf, NetError> {
+        let dir = std::env::temp_dir().join(format!(
+            "bruck-uds-{}-{:x}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map(|d| d.as_nanos())
+                .unwrap_or(0)
+        ));
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| NetError::App(format!("mkdir {}: {e}", dir.display())))?;
+        Ok(dir)
+    }
+
     /// Run `body` as an SPMD program with socket transports. Sockets live
     /// in a fresh temporary directory, removed afterwards.
     ///
@@ -428,28 +398,18 @@ impl SocketCluster {
         T: Send,
         F: Fn(&mut Endpoint) -> Result<T, NetError> + Sync,
     {
-        Self::run_inner(config, false, body)
-    }
-
-    /// [`run`](Self::run), but on the pre-pipelining transport
-    /// discipline: waits sleep-poll every 50µs instead of blocking in
-    /// the kernel, and fragments are capped at the old 16 KiB. Combined
-    /// with [`WireTuning::stop_and_wait`] and
-    /// [`ClusterConfig::with_serial_rounds`] this reproduces the data
-    /// plane as it was before the sliding-window rework — the wire
-    /// benchmark's baseline. Not for production use.
-    ///
-    /// [`WireTuning::stop_and_wait`]: bruck_model::tuning::WireTuning::stop_and_wait
-    ///
-    /// # Errors
-    ///
-    /// Socket setup failures and the first rank error.
-    pub fn run_legacy<T, F>(config: &ClusterConfig, body: F) -> Result<RunOutput<T>, NetError>
-    where
-        T: Send,
-        F: Fn(&mut Endpoint) -> Result<T, NetError> + Sync,
-    {
-        Self::run_inner(config, true, body)
+        let dir = Self::run_dir()?;
+        let transports: Result<Vec<Box<dyn Transport>>, NetError> = (0..config.n)
+            .map(|rank| {
+                UdsTransport::bind(&dir, rank, config.n).map(|t| Box::new(t) as Box<dyn Transport>)
+            })
+            .collect();
+        let result = match transports {
+            Ok(t) => Cluster::run_with_transports(config, t, body),
+            Err(e) => Err(e),
+        };
+        let _ = std::fs::remove_dir_all(&dir);
+        result
     }
 
     /// [`Cluster::run_resilient`] over Unix datagram sockets: shrink on
@@ -480,16 +440,7 @@ impl SocketCluster {
         T: Send,
         F: Fn(&mut Endpoint, &crate::cluster::SurvivorView) -> Result<T, NetError> + Sync,
     {
-        let dir = std::env::temp_dir().join(format!(
-            "bruck-uds-{}-{:x}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_nanos())
-                .unwrap_or(0)
-        ));
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| NetError::App(format!("mkdir {}: {e}", dir.display())))?;
+        let dir = Self::run_dir()?;
         let result = Cluster::run_resilient_with(
             config,
             max_attempts,
@@ -503,48 +454,6 @@ impl SocketCluster {
             },
             body,
         );
-        let _ = std::fs::remove_dir_all(&dir);
-        result
-    }
-
-    fn run_inner<T, F>(
-        config: &ClusterConfig,
-        legacy: bool,
-        body: F,
-    ) -> Result<RunOutput<T>, NetError>
-    where
-        T: Send,
-        F: Fn(&mut Endpoint) -> Result<T, NetError> + Sync,
-    {
-        /// How often the legacy discipline napped between receive polls.
-        const LEGACY_POLL_NAP: Duration = Duration::from_micros(50);
-        let dir = std::env::temp_dir().join(format!(
-            "bruck-uds-{}-{:x}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_nanos())
-                .unwrap_or(0)
-        ));
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| NetError::App(format!("mkdir {}: {e}", dir.display())))?;
-        let transports: Result<Vec<Box<dyn Transport>>, NetError> = (0..config.n)
-            .map(|rank| {
-                UdsTransport::bind(&dir, rank, config.n).map(|t| {
-                    let t = if legacy {
-                        t.with_poll_sleep(LEGACY_POLL_NAP)
-                            .with_frag_payload(LEGACY_FRAG_PAYLOAD)
-                    } else {
-                        t
-                    };
-                    Box::new(t) as Box<dyn Transport>
-                })
-            })
-            .collect();
-        let result = match transports {
-            Ok(t) => Cluster::run_with_transports(config, t, body),
-            Err(e) => Err(e),
-        };
         let _ = std::fs::remove_dir_all(&dir);
         result
     }

@@ -400,6 +400,14 @@ fn sweep_link(
     let mut at = 0usize;
     while link.rbuf.len().saturating_sub(at) >= STREAM_PREFIX {
         let flen = u32::from_le_bytes(link.rbuf[at..at + 4].try_into().expect("4 bytes")) as usize;
+        // No sender stages a frame past one fragment: a larger length is
+        // a corrupt prefix, and waiting for it would buffer up to 4 GiB.
+        if flen > HEADER + FRAG_PAYLOAD {
+            return Err(LinkErr::Fatal(format!(
+                "frame length {flen} exceeds the {} byte cap",
+                HEADER + FRAG_PAYLOAD
+            )));
+        }
         if link.rbuf.len() - at < STREAM_PREFIX + flen {
             break;
         }
@@ -2107,6 +2115,33 @@ mod tests {
         assert_eq!((m.arrival, m.seq, m.ack), (0.25, 3, 1));
         drop(ts);
         assert_eq!(fabric.shutdown(), None);
+    }
+
+    #[test]
+    fn oversized_frame_length_tears_the_fabric_down() {
+        let (fabric, ts) = TcpFabric::new(2, 1).unwrap();
+        // Stage a record whose prefix claims a u32::MAX-byte frame on
+        // the lower node's outbox: the reading end must fail the fabric
+        // instead of buffering while it waits for the rest.
+        let mut record = u32::MAX.to_le_bytes().to_vec();
+        record.extend_from_slice(&1u32.to_le_bytes());
+        record.extend_from_slice(&[0u8; 64]);
+        fabric.shared.outboxes[0]
+            .lock()
+            .unwrap()
+            .extend_from_slice(&record);
+        fabric.shared.dirty[0].store(true, Ordering::Release);
+        let t0 = Instant::now();
+        while fabric.shared.error.lock().unwrap().is_none() {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "corrupt prefix did not tear the link down"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(ts);
+        let err = fabric.shutdown().expect("fabric reports the violation");
+        assert!(err.contains("exceeds"), "{err}");
     }
 
     #[test]

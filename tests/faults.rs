@@ -10,7 +10,7 @@ use bruck::collectives::concat::ConcatAlgorithm;
 use bruck::collectives::index::IndexAlgorithm;
 use bruck::collectives::verify;
 use bruck::model::partition::Preference;
-use bruck::net::{Cluster, ClusterConfig, FaultPlan, NetError, Reliability};
+use bruck::net::{Cluster, ClusterConfig, FaultPlan, LinkStats, NetError, Reliability};
 
 fn faulty_cfg(n: usize, faults: FaultPlan) -> ClusterConfig {
     ClusterConfig::new(n)
@@ -99,25 +99,31 @@ fn alltoall_over_lossy_wire_heals_by_retransmission() {
         .with_faults(FaultPlan::new().with_seed(0xB10C).with_loss(0.05))
         .with_reliability(Reliability::default());
     let tuning = Tuning::default();
-    let out = Cluster::run(&cfg, |ep| {
-        let input = verify::index_input(ep.rank(), n, block);
-        // Several repetitions: enough physical transmissions that the 5%
-        // loss rate fires with overwhelming probability.
-        let mut last = Vec::new();
-        for _ in 0..4 {
-            last = alltoall(ep, &input, block, &tuning)?;
+    let link = until_data_frame_dropped(|| {
+        let out = Cluster::run(&cfg, |ep| {
+            let input = verify::index_input(ep.rank(), n, block);
+            // Several repetitions: enough physical transmissions that the
+            // 5% loss rate fires with overwhelming probability.
+            let mut last = Vec::new();
+            for _ in 0..4 {
+                last = alltoall(ep, &input, block, &tuning)?;
+            }
+            Ok(last)
+        })
+        .unwrap();
+        for (rank, result) in out.results.iter().enumerate() {
+            assert_eq!(
+                result,
+                &verify::index_expected(rank, n, block),
+                "rank {rank} corrupted under loss"
+            );
         }
-        Ok(last)
-    })
-    .unwrap();
-    for (rank, result) in out.results.iter().enumerate() {
         assert_eq!(
-            result,
-            &verify::index_expected(rank, n, block),
-            "rank {rank} corrupted under loss"
+            out.metrics.total_retransmits(),
+            out.metrics.link_totals().retransmits
         );
-    }
-    let link = out.metrics.link_totals();
+        out.metrics.link_totals()
+    });
     assert!(
         link.injected_losses > 0,
         "the plan never actually dropped anything"
@@ -126,8 +132,27 @@ fn alltoall_over_lossy_wire_heals_by_retransmission() {
         link.retransmits > 0,
         "losses occurred but nothing was retransmitted"
     );
-    assert_eq!(out.metrics.total_retransmits(), link.retransmits);
 }
+
+/// Run a lossy cluster until the plan drops a *data* frame, at most
+/// [`LOSSY_ATTEMPTS`] times, and return that run's link totals. Ack
+/// arrival order perturbs the per-transmission loss draws, so a seeded
+/// run can occasionally drop only control frames (acks, probes) that a
+/// later cumulative ack covers; such a run owes no retransmission and
+/// proves nothing about healing, so it is repeated rather than judged.
+fn until_data_frame_dropped(mut run: impl FnMut() -> LinkStats) -> LinkStats {
+    let mut link = run();
+    for _ in 1..LOSSY_ATTEMPTS {
+        if link.injected_losses > 0 {
+            break;
+        }
+        link = run();
+    }
+    link
+}
+
+/// Bound on [`until_data_frame_dropped`]'s repeats.
+const LOSSY_ATTEMPTS: usize = 5;
 
 #[test]
 fn alltoall_over_duplicating_corrupting_wire_is_bit_correct() {
@@ -399,24 +424,27 @@ fn socket_transport_honours_fault_plan() {
         .with_faults(FaultPlan::new().with_seed(0x50C).with_loss(0.08))
         .with_reliability(Reliability::default());
     let tuning = Tuning::default();
-    let out = SocketCluster::run(&cfg, |ep| {
-        let input = verify::index_input(ep.rank(), n, block);
-        // Enough repetitions that the 8% loss rate fires with
-        // overwhelming probability (ack arrival order perturbs the
-        // per-transmission draws, so this is a tail bound, not a fixed
-        // replay).
-        let mut last = Vec::new();
-        for _ in 0..8 {
-            last = alltoall(ep, &input, block, &tuning)?;
+    let link = until_data_frame_dropped(|| {
+        let out = SocketCluster::run(&cfg, |ep| {
+            let input = verify::index_input(ep.rank(), n, block);
+            // Enough repetitions that the 8% loss rate fires with
+            // overwhelming probability (ack arrival order perturbs the
+            // per-transmission draws, so this is a tail bound, not a
+            // fixed replay).
+            let mut last = Vec::new();
+            for _ in 0..8 {
+                last = alltoall(ep, &input, block, &tuning)?;
+            }
+            Ok(last)
+        })
+        .unwrap();
+        for (rank, result) in out.results.iter().enumerate() {
+            assert_eq!(result, &verify::index_expected(rank, n, block));
         }
-        Ok(last)
-    })
-    .unwrap();
-    for (rank, result) in out.results.iter().enumerate() {
-        assert_eq!(result, &verify::index_expected(rank, n, block));
-    }
-    assert!(out.metrics.link_totals().injected_losses > 0);
-    assert!(out.metrics.total_retransmits() > 0);
+        out.metrics.link_totals()
+    });
+    assert!(link.injected_losses > 0);
+    assert!(link.retransmits > 0);
 }
 
 /// A killed rank on the socket transport surfaces as the same clean,
